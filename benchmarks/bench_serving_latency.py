@@ -203,3 +203,8 @@ def test_serving_latency(benchmark, report_dir):
     assert gauges["evals_per_s"] >= EVALS_PER_S_FLOOR, (
         f"serving throughput {gauges['evals_per_s'] / 1e6:.2f} Meval/s "
         f"fell below the 1 Meval/s acceptance floor")
+    # a lone request goes straight to an idle worker; a fixed coalescing
+    # wait in front of it would push p50 past this
+    assert gauges["p50_ms"] < 2.0, (
+        f"lone-request p50 {gauges['p50_ms']:.2f} ms: requests are waiting "
+        f"to be batched while a worker is idle")

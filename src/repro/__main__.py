@@ -103,8 +103,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     svc = api.serve(args.functions or None, targets=tuple(args.targets),
                     address=args.address, workers=args.workers,
-                    max_batch=args.max_batch,
-                    max_delay_s=args.max_delay_ms / 1000.0)
+                    max_batch=args.max_batch)
     print(f"serving {', '.join(svc.keys)}")
     print(f"  address: {svc.address}")
     print(f"  workers: {args.workers}  tables: {svc.content_hash[:12]}…")
@@ -256,8 +255,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="worker processes (default: 2)")
     p.add_argument("--max-batch", type=int, default=65536,
                    help="coalescer flush size in lanes (default: 65536)")
-    p.add_argument("--max-delay-ms", type=float, default=2.0,
-                   help="coalescer flush deadline (default: 2 ms)")
     p.set_defaults(fn=_cmd_serve)
 
     p = sub.add_parser("table3", help="generation statistics")

@@ -18,8 +18,9 @@ Pieces (one module each, composable and individually testable):
 * :mod:`~repro.serve.workers` — the process pool evaluating batches
   against the arena, with crash containment and utilization gauges.
 * :mod:`~repro.serve.protocol` — the framed binary wire format.
-* :mod:`~repro.serve.coalesce` — size/deadline/shutdown-triggered
-  batching of many small requests into few large worker batches.
+* :mod:`~repro.serve.coalesce` — idle-slot/size/completion/shutdown-
+  triggered batching: a request goes to an idle worker at once, and
+  requests pile up into large batches only while every worker is busy.
 * :mod:`~repro.serve.admission` — bounded queues and explicit SHED
   replies under overload.
 * :mod:`~repro.serve.frontend` — the asyncio unix-socket server tying

@@ -2,19 +2,26 @@
 
 The batch engine's throughput comes from amortizing per-batch overhead
 over thousands of lanes; a service fed 256-lane requests would waste it
-dispatching 256-lane batches.  The :class:`Coalescer` buffers incoming
-requests per ``(key, opcode)`` and flushes one concatenated batch to
-the worker pool when either
+dispatching 256-lane batches under load.  The :class:`Coalescer` is
+*work-conserving*: it counts batches in flight against ``slots`` (the
+pool's worker count) and buffers requests per ``(key, opcode)`` only
+while every slot is busy.  A buffer is flushed as one concatenated
+batch to the worker pool when
 
-* the buffered lane count reaches ``max_batch`` (**size** trigger),
-* the oldest buffered request has waited ``max_delay_s`` (**deadline**
-  trigger — bounds the latency a lone request pays for batching), or
+* a request arrives while a slot is free (**idle-slot** trigger — a
+  lone request is dispatched at once, never held on a clock),
+* the buffered lane count reaches ``max_batch`` (**size** trigger,
+  fires even while every slot is busy),
+* a batch completes and frees its slot (**completion** trigger — the
+  oldest pending buffer goes first, FIFO across keys), or
 * the service is shutting down (**drain** trigger).
 
-Each submitter gets a future resolving to its own slice of the batch
-result; a worker failure fails every request in the batch (the client
-sees ``STATUS_ERROR``, never a wrong answer).  All bookkeeping runs on
-the event loop — no locks.
+Batching therefore comes only from the workers being busy: the longer a
+batch runs, the more requests pile up behind it and the larger the next
+one is.  Each submitter gets a future resolving to its own slice of the
+batch result; a worker failure fails every request in the batch (the
+client sees ``STATUS_ERROR``, never a wrong answer) and still frees the
+slot.  All bookkeeping runs on the event loop — no locks.
 """
 
 from __future__ import annotations
@@ -30,64 +37,53 @@ __all__ = ["Coalescer"]
 
 
 class _Buffer:
-    __slots__ = ("items", "lanes", "timer")
+    __slots__ = ("items", "lanes")
 
     def __init__(self):
         self.items: list[tuple[np.ndarray, asyncio.Future]] = []
         self.lanes = 0
-        self.timer: asyncio.TimerHandle | None = None
 
 
 class Coalescer:
-    """Deadline- and size-triggered batcher in front of a worker pool.
+    """Work-conserving batcher in front of a worker pool.
 
     ``dispatch`` is an async callable ``(key, op, batch) -> results``
-    (normally :meth:`repro.serve.workers.WorkerPool.run`).
+    (normally :meth:`repro.serve.workers.WorkerPool.run`); ``slots`` is
+    how many batches it can evaluate at once (the pool's worker count).
     """
 
     def __init__(self, dispatch: Callable[..., Awaitable[np.ndarray]], *,
-                 max_batch: int = 65536, max_delay_s: float = 0.002):
+                 slots: int = 1, max_batch: int = 65536):
         self._dispatch = dispatch
+        self.slots = max(1, int(slots))
         self.max_batch = int(max_batch)
-        self.max_delay_s = float(max_delay_s)
+        self._busy = 0
+        # insertion order is the arrival order of each buffer's oldest
+        # request, so the first key is the one that has waited longest
         self._buffers: dict[tuple[str, int], _Buffer] = {}
         self._tasks: set[asyncio.Task] = set()
         self._h_batch = metrics.histogram("serve.coalesce.batch")
 
-    def pending_lanes(self) -> int:
-        """Lanes currently buffered (admission control reads this)."""
-        return sum(b.lanes for b in self._buffers.values())
-
     def submit(self, key: str, op: int,
                data: np.ndarray) -> "asyncio.Future[np.ndarray]":
         """Buffer one request; the future resolves to its result slice."""
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
+        fut: asyncio.Future = asyncio.get_running_loop().create_future()
         buf = self._buffers.get((key, op))
         if buf is None:
             buf = self._buffers[(key, op)] = _Buffer()
         buf.items.append((data, fut))
         buf.lanes += len(data)
         if buf.lanes >= self.max_batch:
-            metrics.counter("serve.coalesce.flush.size").inc()
-            self._flush((key, op))
-        elif buf.timer is None:
-            buf.timer = loop.call_later(self.max_delay_s,
-                                        self._deadline, (key, op))
+            self._flush((key, op), "size")
+        elif self._busy < self.slots:
+            self._flush((key, op), "idle")
         return fut
 
-    def _deadline(self, keyop: tuple[str, int]) -> None:
-        if keyop in self._buffers:
-            metrics.counter("serve.coalesce.flush.deadline").inc()
-            self._flush(keyop)
-
-    def _flush(self, keyop: tuple[str, int]) -> None:
-        buf = self._buffers.pop(keyop, None)
-        if buf is None:
-            return
-        if buf.timer is not None:
-            buf.timer.cancel()
+    def _flush(self, keyop: tuple[str, int], trigger: str) -> None:
+        buf = self._buffers.pop(keyop)
+        metrics.counter(f"serve.coalesce.flush.{trigger}").inc()
         self._h_batch.observe(buf.lanes)
+        self._busy += 1
         task = asyncio.get_running_loop().create_task(
             self._run_batch(keyop, buf.items))
         self._tasks.add(task)
@@ -107,6 +103,12 @@ class Coalescer:
                     fut.set_exception(
                         RuntimeError(f"batch evaluation failed: {e}"))
             return
+        finally:
+            # the slot frees before this batch's replies go out, so the
+            # worker is handed the next batch first
+            self._busy -= 1
+            while self._buffers and self._busy < self.slots:
+                self._flush(next(iter(self._buffers)), "free")
         pos = 0
         for data, fut in items:
             n = len(data)
@@ -117,8 +119,7 @@ class Coalescer:
     async def drain(self) -> None:
         """Flush every buffer and wait for in-flight batches (shutdown)."""
         for keyop in list(self._buffers):
-            metrics.counter("serve.coalesce.flush.drain").inc()
-            self._flush(keyop)
+            self._flush(keyop, "drain")
         while self._tasks:
             await asyncio.gather(*list(self._tasks),
                                  return_exceptions=True)

@@ -9,8 +9,8 @@
 2. fork the worker pool against that arena
    (:mod:`repro.serve.workers`);
 3. start an asyncio unix-socket server on a background thread, with a
-   :class:`~repro.serve.coalesce.Coalescer` batching requests into the
-   pool and an
+   :class:`~repro.serve.coalesce.Coalescer` handing requests to idle
+   workers (batching them only while every worker is busy) and an
    :class:`~repro.serve.admission.AdmissionController` shedding load
    past the configured bounds.
 
@@ -55,12 +55,12 @@ class _Frontend:
 
     def __init__(self, keys: set[str], pool: WorkerPool,
                  admission: AdmissionController, *,
-                 max_batch: int, max_delay_s: float):
+                 max_batch: int):
         self.keys = keys
         self.pool = pool
         self.admission = admission
-        self.coalescer = Coalescer(pool.run, max_batch=max_batch,
-                                   max_delay_s=max_delay_s)
+        self.coalescer = Coalescer(pool.run, slots=pool.workers,
+                                   max_batch=max_batch)
         self.server: asyncio.AbstractServer | None = None
         self._client_seq = 0
         self._connections: set[asyncio.Task] = set()
@@ -236,7 +236,7 @@ class ServiceHandle:
 
 def serve(functions=None, targets=("float32",), *, address: str | None = None,
           workers: int = 2, max_batch: int = 65536,
-          max_delay_s: float = 0.002, max_pending_evals: int = 4_000_000,
+          max_pending_evals: int = 4_000_000,
           max_client_inflight: int = 128) -> ServiceHandle:
     """Start the multi-process libm service; returns its handle.
 
@@ -263,8 +263,7 @@ def serve(functions=None, targets=("float32",), *, address: str | None = None,
         max_pending_evals=max_pending_evals,
         max_client_inflight=max_client_inflight)
     frontend = _Frontend({arena_key(f, t) for f, t in pairs}, pool,
-                         admission, max_batch=max_batch,
-                         max_delay_s=max_delay_s)
+                         admission, max_batch=max_batch)
     addr = address or default_address()
 
     loop = asyncio.new_event_loop()

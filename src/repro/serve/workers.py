@@ -103,30 +103,22 @@ class WorkerPool:
 
     async def run(self, key: str, op: int,
                   data: np.ndarray) -> np.ndarray:
-        """Evaluate one batch on the pool (retries once after a crash)."""
-        loop = asyncio.get_running_loop()
-        try:
-            out, busy_s = await loop.run_in_executor(
-                None, self._call, key, op, data)
-        except BrokenProcessPool:
-            self._rebuild()
-            out, busy_s = await loop.run_in_executor(
-                None, self._call, key, op, data)
-        self._account(busy_s, len(data))
-        return out
+        """Evaluate one batch on the pool (retries once after a crash).
 
-    def _call(self, key: str, op: int, data: np.ndarray):
-        # runs on the event loop's default thread pool: submit to the
-        # process pool and block the *thread* (never the loop) on it
-        return self._pool.submit(eval_task, key, op, data).result()
-
-    def run_sync(self, key: str, op: int, data: np.ndarray) -> np.ndarray:
-        """Blocking twin of :meth:`run` (tests; synchronous tools)."""
+        The process pool's future is awaited on the event loop itself;
+        no thread is parked waiting on it.
+        """
+        pool = self._pool
         try:
-            out, busy_s = self._call(key, op, data)
+            out, busy_s = await asyncio.wrap_future(
+                pool.submit(eval_task, key, op, data))
         except BrokenProcessPool:
-            self._rebuild()
-            out, busy_s = self._call(key, op, data)
+            # batches in flight on the same broken pool all land here;
+            # only the first rebuilds, the rest retry on its new pool
+            if self._pool is pool:
+                self._rebuild()
+            out, busy_s = await asyncio.wrap_future(
+                self._pool.submit(eval_task, key, op, data))
         self._account(busy_s, len(data))
         return out
 

@@ -8,7 +8,8 @@ answering wrong.
 
 Tier-1 covers the composable pieces in-process: protocol framing
 round-trips, arena publish/attach/verify, coalescer flush triggers
-(size / deadline / drain), and admission-control budgets.  The
+(idle slot / size / completion / drain), the worker pool's crash retry
+against a fake process pool, and admission-control budgets.  The
 fork-heavy end-to-end suite — a real service with real workers, the
 stratified differential against :class:`repro.api.Library`, the replay
 of every committed adversarial corpus through the socket, worker
@@ -19,10 +20,12 @@ excluded from tier-1 by ``addopts`` (run it with ``-m serve``).
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import os
 import signal
 import socket
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -182,84 +185,243 @@ class TestArena:
 # coalescer
 
 
-def _run_coalescer(body):
-    """Drive a Coalescer with a recording fake dispatch on a fresh loop."""
-    batches: list[np.ndarray] = []
+class _Dispatch:
+    """Recording fake dispatch; its first ``held`` calls park on ``gate``
+    (a worker busy on a batch) until the test sets it."""
 
-    async def dispatch(key, op, data):
-        batches.append(data)
+    def __init__(self, held: int = 0):
+        self.batches: list[tuple[str, list[float]]] = []
+        self.held = held
+        self.gate = asyncio.Event()
+
+    async def __call__(self, key, op, data):
+        self.batches.append((key, data.tolist()))
+        if len(self.batches) <= self.held:
+            await self.gate.wait()
         return data * 2.0
 
-    async def main():
-        co = Coalescer(dispatch, max_batch=8, max_delay_s=0.01)
-        return await body(co)
 
-    return asyncio.run(main()), batches
+async def _settle():
+    """Let every ready task run a step (no clock involved)."""
+    for _ in range(5):
+        await asyncio.sleep(0)
+
+
+def _flushes(trigger: str) -> int:
+    return metrics.counter(f"serve.coalesce.flush.{trigger}").value
 
 
 class TestCoalescer:
-    def test_size_trigger_concatenates_and_slices(self):
-        before = metrics.counter("serve.coalesce.flush.size").value
+    def test_lone_submit_dispatches_before_the_loop_sleeps(self):
+        before = _flushes("idle")
 
-        async def body(co):
-            f1 = co.submit("k", protocol.OP_EVAL,
-                           np.array([1.0, 2.0, 3.0]))
+        async def main():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at
+
+            def recording_call_at(when, *args, **kwargs):
+                timers.append(when)
+                return call_at(when, *args, **kwargs)
+
+            loop.call_at = recording_call_at
+            d = _Dispatch()
+            co = Coalescer(d, slots=1, max_batch=8)
+            fut = co.submit("k", protocol.OP_EVAL, np.array([1.5]))
+            await asyncio.sleep(0)          # one loop turn, no clock
+            assert d.batches == [("k", [1.5])]
+            assert (await fut).tolist() == [3.0]
+            assert timers == []             # nothing was scheduled to wait
+
+        asyncio.run(main())
+        assert _flushes("idle") == before + 1
+
+    def test_busy_slot_coalesces_into_one_batch(self):
+        before = _flushes("free")
+
+        async def main():
+            d = _Dispatch(held=1)
+            co = Coalescer(d, slots=1, max_batch=64)
+            first = co.submit("k", protocol.OP_EVAL, np.array([0.5]))
+            futs = [co.submit("k", protocol.OP_EVAL, np.array(xs))
+                    for xs in ([1.0], [2.0, 3.0], [4.0, 5.0, 6.0])]
+            await _settle()
+            assert d.batches == [("k", [0.5])]      # the rest wait
+            d.gate.set()
+            out = await asyncio.gather(first, *futs)
+            assert d.batches[1] == ("k", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+            assert len(d.batches) == 2
+            return [o.tolist() for o in out]
+
+        assert asyncio.run(main()) == [[1.0], [2.0], [4.0, 6.0],
+                                       [8.0, 10.0, 12.0]]
+        assert _flushes("free") == before + 1
+
+    def test_size_trigger_concatenates_and_slices(self):
+        before = _flushes("size")
+
+        async def main():
+            d = _Dispatch(held=1)
+            co = Coalescer(d, slots=1, max_batch=8)
+            held = co.submit("k", protocol.OP_EVAL, np.array([0.0]))
+            f1 = co.submit("k", protocol.OP_EVAL, np.array([1.0, 2.0, 3.0]))
             f2 = co.submit("k", protocol.OP_EVAL,
                            np.array([4.0, 5.0, 6.0, 7.0, 8.0]))
-            return await asyncio.gather(f1, f2)
+            await _settle()
+            # dispatched at 8 lanes though the only slot is still held
+            assert len(d.batches) == 2 and len(d.batches[1][1]) == 8
+            d.gate.set()
+            await held
+            return (await f1).tolist(), (await f2).tolist()
 
-        (r1, r2), batches = _run_coalescer(body)
-        assert len(batches) == 1 and len(batches[0]) == 8  # one big batch
-        assert r1.tolist() == [2.0, 4.0, 6.0]
-        assert r2.tolist() == [8.0, 10.0, 12.0, 14.0, 16.0]
-        assert metrics.counter("serve.coalesce.flush.size").value > before
+        r1, r2 = asyncio.run(main())
+        assert r1 == [2.0, 4.0, 6.0]
+        assert r2 == [8.0, 10.0, 12.0, 14.0, 16.0]
+        assert _flushes("size") == before + 1
 
-    def test_deadline_trigger_flushes_partial_batch(self):
-        before = metrics.counter("serve.coalesce.flush.deadline").value
+    def test_pending_keys_flush_fifo(self):
+        async def main():
+            d = _Dispatch(held=1)
+            co = Coalescer(d, slots=1, max_batch=64)
+            futs = [co.submit(k, protocol.OP_EVAL, np.array([x]))
+                    for k, x in (("x", 0.0), ("b", 1.0), ("a", 2.0),
+                                 ("b", 3.0))]
+            await _settle()
+            d.gate.set()
+            await asyncio.gather(*futs)
+            return d.batches
 
-        async def body(co):
-            fut = co.submit("k", protocol.OP_EVAL, np.array([1.5]))
-            return await asyncio.wait_for(fut, timeout=2.0)
-
-        out, batches = _run_coalescer(body)
-        assert out.tolist() == [3.0] and len(batches[0]) == 1
-        assert metrics.counter("serve.coalesce.flush.deadline").value > before
-
-    def test_drain_flushes_without_waiting(self):
-        async def body(co):
-            fut = co.submit("k", protocol.OP_EVAL, np.array([2.0]))
-            await co.drain()
-            assert fut.done()               # no deadline wait needed
-            return fut.result()
-
-        out, _ = _run_coalescer(body)
-        assert out.tolist() == [4.0]
+        assert asyncio.run(main()) == [("x", [0.0]), ("b", [1.0, 3.0]),
+                                       ("a", [2.0])]
 
     def test_separate_keys_never_share_a_batch(self):
-        async def body(co):
+        async def main():
+            d = _Dispatch()
+            co = Coalescer(d, slots=1, max_batch=8)
             fa = co.submit("a", protocol.OP_EVAL, np.array([1.0]))
             fb = co.submit("b", protocol.OP_EVAL, np.array([10.0]))
             await co.drain()
-            return await asyncio.gather(fa, fb)
+            ra, rb = await asyncio.gather(fa, fb)
+            return d.batches, ra.tolist(), rb.tolist()
 
-        (ra, rb), batches = _run_coalescer(body)
-        assert len(batches) == 2
-        assert ra.tolist() == [2.0] and rb.tolist() == [20.0]
+        batches, ra, rb = asyncio.run(main())
+        assert len(batches) == 2 and ra == [2.0] and rb == [20.0]
+
+    def test_drain_flushes_without_waiting(self):
+        before = _flushes("drain")
+
+        async def main():
+            d = _Dispatch(held=1)
+            co = Coalescer(d, slots=1, max_batch=64)
+            held = co.submit("k", protocol.OP_EVAL, np.array([1.0]))
+            waiting = co.submit("k", protocol.OP_EVAL, np.array([2.0]))
+            drain = asyncio.get_running_loop().create_task(co.drain())
+            await _settle()
+            # flushed past the busy slot; drain still awaits the held batch
+            assert d.batches == [("k", [1.0]), ("k", [2.0])]
+            assert waiting.done() and not drain.done()
+            d.gate.set()
+            await drain
+            return held.result().tolist(), waiting.result().tolist()
+
+        assert asyncio.run(main()) == ([2.0], [4.0])
+        assert _flushes("drain") == before + 1
 
     def test_dispatch_failure_fails_every_request(self):
         async def dispatch(key, op, data):
+            await asyncio.sleep(0)
             raise RuntimeError("worker exploded")
 
         async def main():
-            co = Coalescer(dispatch, max_batch=8, max_delay_s=0.001)
+            co = Coalescer(dispatch, slots=1, max_batch=8)
             f1 = co.submit("k", protocol.OP_EVAL, np.array([1.0]))
             f2 = co.submit("k", protocol.OP_EVAL, np.array([2.0]))
+            f3 = co.submit("k", protocol.OP_EVAL, np.array([3.0]))
             await co.drain()
-            for fut in (f1, f2):
+            for fut in (f1, f2, f3):
                 with pytest.raises(RuntimeError, match="worker exploded"):
                     await fut
 
         asyncio.run(main())
+
+    def test_failed_dispatch_releases_its_slot(self):
+        calls = []
+
+        async def dispatch(key, op, data):
+            calls.append(data.tolist())
+            if len(calls) == 1:
+                raise RuntimeError("worker exploded")
+            return data * 2.0
+
+        async def main():
+            co = Coalescer(dispatch, slots=1, max_batch=8)
+            with pytest.raises(RuntimeError, match="worker exploded"):
+                await co.submit("k", protocol.OP_EVAL, np.array([1.0]))
+            fut = co.submit("k", protocol.OP_EVAL, np.array([2.0]))
+            await asyncio.sleep(0)
+            assert calls == [[1.0], [2.0]]  # dispatched, not buffered
+            return (await asyncio.wait_for(fut, timeout=2.0)).tolist()
+
+        assert asyncio.run(main()) == [4.0]
+
+
+# ---------------------------------------------------------------------------
+# worker pool (fake process pool: no fork)
+
+
+class _FakeProcessPool:
+    """Stands in for the ProcessPoolExecutor; a broken one raises
+    ``BrokenProcessPool`` from ``submit`` itself or from its future."""
+
+    def __init__(self, broken: str | None = None):
+        self.broken = broken
+
+    def submit(self, fn, key, op, data):
+        if self.broken == "submit":
+            raise BrokenProcessPool("a worker died")
+        fut: concurrent.futures.Future = concurrent.futures.Future()
+        if self.broken == "future":
+            fut.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            fut.set_result((data * 2.0, 0.001))
+        return fut
+
+
+class TestWorkerPoolRun:
+    @pytest.mark.parametrize("broken", ["submit", "future"])
+    def test_broken_pool_is_rebuilt_and_retried(self, monkeypatch, broken):
+        from repro.serve.workers import WorkerPool
+
+        pools = [_FakeProcessPool(broken), _FakeProcessPool()]
+        monkeypatch.setattr(WorkerPool, "_make_pool",
+                            lambda self: pools.pop(0))
+        crashes = metrics.counter("serve.worker.crashes")
+        before = crashes.value
+        wp = WorkerPool("rlserve-fake", "0" * 64, workers=1)
+        out = asyncio.run(wp.run("k", protocol.OP_EVAL, np.array([1.0, 2.0])))
+        assert out.tolist() == [2.0, 4.0]
+        assert pools == [] and crashes.value == before + 1
+
+    def test_one_rebuild_per_broken_pool(self, monkeypatch):
+        """Batches in flight when the pool breaks retry on one new pool;
+        the later ones must not tear down the pool the first one built."""
+        from repro.serve.workers import WorkerPool
+
+        pools = [_FakeProcessPool("future"), _FakeProcessPool()]
+        monkeypatch.setattr(WorkerPool, "_make_pool",
+                            lambda self: pools.pop(0))
+        crashes = metrics.counter("serve.worker.crashes")
+        before = crashes.value
+        wp = WorkerPool("rlserve-fake", "0" * 64, workers=2)
+
+        async def main():
+            return await asyncio.gather(*(
+                wp.run("k", protocol.OP_EVAL, np.array([x]))
+                for x in (1.0, 2.0, 3.0)))
+
+        assert [o.tolist() for o in asyncio.run(main())] == \
+            [[2.0], [4.0], [6.0]]
+        assert pools == [] and crashes.value == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +538,23 @@ class TestServiceEndToEnd:
         with svc_all.connect("ln") as client:
             vals = client.evaluate_batch(xs)
         assert vals.tobytes() == lib.evaluate_batch(xs).tobytes()
+
+
+@pytest.mark.serve
+def test_lone_request_flushes_on_idle_slot():
+    """With the one worker idle, a lone request is dispatched on arrival
+    (``flush.idle``); it neither fills a batch nor waits on a clock."""
+    from repro.serve import serve
+
+    idle = metrics.counter("serve.coalesce.flush.idle")
+    size = metrics.counter("serve.coalesce.flush.size")
+    xs = np.linspace(-1.0, 1.0, 256)
+    with serve(["exp"], targets=("float32",), workers=1) as svc:
+        with svc.connect("exp") as client:
+            client.evaluate_bits_batch(xs)      # fork + warm the worker
+            idle0, size0 = idle.value, size.value
+            client.evaluate_bits_batch(xs)
+    assert (idle.value, size.value) == (idle0 + 1, size0)
 
 
 @pytest.mark.serve
